@@ -106,13 +106,14 @@ race-all:
 	$(GO) test -race ./...
 
 ## fuzz: short fuzz smoke on the packet parser, the mailbox ownership
-## boundary, the netport decoder, and the checkpoint round-trip
-## (seed corpus + 10s each).
+## boundary, the netport decoder, the checkpoint round-trip and the
+## durable snapshot decoder (seed corpus + 10s each).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParsePacket -fuzztime=10s ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzMailboxOwnership -fuzztime=10s ./internal/domain
 	$(GO) test -run='^$$' -fuzz=FuzzNetportDecode -fuzztime=10s ./internal/netport
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRestore -fuzztime=10s ./internal/checkpoint
+	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzTraceSpanEncode -fuzztime=10s ./internal/telemetry/trace
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/statestore
 

@@ -1,9 +1,16 @@
 package checkpoint_test
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/domain"
+	"repro/internal/firewall"
+	"repro/internal/maglev"
+	"repro/internal/packet"
+	"repro/internal/session"
 )
 
 // fuzzNode is one vertex of the fuzz graph: plain data plus an Rc
@@ -32,6 +39,8 @@ type fuzzGraph struct {
 //     still do not); Naive duplicates every shared box (Figure 3b).
 //  3. Token reuse: a second Materialize yields a fresh, independent
 //     clone — mutating the first clone never shows through.
+//  4. Durability: the snapshot's payload decodes to a snapshot whose
+//     Materialize passes the same value and per-mode alias checks.
 func FuzzCheckpointRestore(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 1, 2, 1, 0})          // rc-aware, interleaved sharing
 	f.Add([]byte{1, 2, 0, 0, 0})                // naive, one box shared 3x
@@ -140,6 +149,130 @@ func FuzzCheckpointRestore(f *testing.F) {
 			if c1.Nodes[i].Ref.SameBox(c2.Nodes[i].Ref) {
 				t.Fatalf("materialized clones share box at node %d: tokens are not independently restorable", i)
 			}
+		}
+
+		payload, err := snap.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		dec, err := checkpoint.Decode[*fuzzGraph](payload)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		v3, err := dec.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		verify(v3)
+	})
+}
+
+// codecTarget is one durable state shape: its codec and a populated
+// checkpoint token of it.
+type codecTarget struct {
+	name   string
+	codec  domain.TokenCodec
+	sample func() (any, error)
+}
+
+func codecTargets() []codecTarget {
+	e := checkpoint.NewEngine(checkpoint.RcAware)
+	tu := func(i int) packet.FiveTuple {
+		return packet.FiveTuple{SrcIP: packet.IPv4(i), DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 17}
+	}
+	return []codecTarget{
+		{"fuzz-graph", checkpoint.Codec[*fuzzGraph]{}, func() (any, error) {
+			shared := checkpoint.NewRc(7)
+			return e.Checkpoint(&fuzzGraph{Nodes: []*fuzzNode{{ID: 1, Ref: shared}, nil, {ID: 3, Ref: shared.Clone()}}, M: map[int]int{1: 2}})
+		}},
+		{"session", session.NewTable(), func() (any, error) {
+			tbl := session.NewTable()
+			for i := 0; i < 6; i++ {
+				tbl.Track(tu(i), packet.IPv4(10+i%2), 60)
+			}
+			return tbl.Checkpoint(e)
+		}},
+		{"maglev", checkpoint.Codec[*maglev.BalancerState]{}, func() (any, error) {
+			b, err := maglev.NewBalancer([]maglev.Backend{{Name: "a", IP: 1}, {Name: "b", IP: 2}}, 13)
+			for i := 0; i < 4 && err == nil; i++ {
+				b.Pick(tu(i))
+			}
+			if err != nil {
+				return nil, err
+			}
+			return b.Checkpoint(e)
+		}},
+		{"firewall", checkpoint.Codec[*firewall.DB]{}, func() (any, error) {
+			db := firewall.NewDB(firewall.Deny)
+			h, err := db.AddRule(0x0a000000, 8, firewall.Rule{ID: 1, Action: firewall.Allow, Comment: "ten"})
+			if err == nil {
+				err = db.AttachRule(0xc0a80000, 16, h)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return db.Checkpoint(e)
+		}},
+	}
+}
+
+// samplePayload encodes a target's sample token.
+func samplePayload(tb testing.TB, tg codecTarget) []byte {
+	tb.Helper()
+	tok, err := tg.sample()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payload, err := tg.codec.EncodeToken(tok)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return payload
+}
+
+// FuzzSnapshotDecode feeds arbitrary bytes to the decoder of every
+// durable state shape: the fuzz graph, the session table, the maglev
+// balancer and the firewall DB. The first input byte picks the shape;
+// the rest is the payload body, behind that shape's valid header, so
+// the fuzzer explores the body instead of the shape hash. Decoding must
+// never panic, must allocate O(len(payload)), and any accepted payload
+// must re-encode to bytes that decode to an equal value.
+func FuzzSnapshotDecode(f *testing.F) {
+	targets := codecTargets()
+	headers := make([][]byte, len(targets))
+	for i, tg := range targets {
+		payload := samplePayload(f, tg)
+		headers[i] = payload[:9]
+		f.Add(append([]byte{byte(i)}, payload[9:]...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			t.Skip()
+		}
+		i := int(data[0]) % len(targets)
+		tg := targets[i]
+		payload := append(append([]byte(nil), headers[i]...), data[1:]...)
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tok, err := tg.codec.DecodeToken(payload)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(payload)+64<<10); got > limit {
+			t.Fatalf("%s: decoding %d bytes allocated %d bytes (limit %d)", tg.name, len(payload), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		again, err := tg.codec.EncodeToken(tok)
+		if err != nil {
+			t.Fatalf("%s: re-encode of an accepted payload: %v", tg.name, err)
+		}
+		tok2, err := tg.codec.DecodeToken(again)
+		if err != nil {
+			t.Fatalf("%s: re-encoded payload rejected: %v", tg.name, err)
+		}
+		if !reflect.DeepEqual(tok.(*checkpoint.Snapshot).Value(), tok2.(*checkpoint.Snapshot).Value()) {
+			t.Fatalf("%s: re-encoded payload decodes to a different value", tg.name)
 		}
 	})
 }

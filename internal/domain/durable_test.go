@@ -6,10 +6,8 @@ package domain
 // stay soft, and states without a codec are rejected up front.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,11 +18,12 @@ import (
 	"repro/internal/linear"
 )
 
-// durableKV extends the test Stateful with a TokenCodec: the map
-// serializes as sorted key/value pairs. encodeErr injects codec
-// failures; it is read on the serving goroutine.
+// durableKV extends the test Stateful with a TokenCodec: the embedded
+// codec derived from kvImage. encodeErr injects codec failures; it is
+// read on the serving goroutine.
 type durableKV struct {
 	kvState
+	checkpoint.Codec[*kvImage]
 	encodeErr atomic.Pointer[error]
 }
 
@@ -42,54 +41,7 @@ func (s *durableKV) EncodeToken(token any) ([]byte, error) {
 	if errp := s.encodeErr.Load(); errp != nil {
 		return nil, *errp
 	}
-	snap, ok := token.(*checkpoint.Snapshot)
-	if !ok {
-		return nil, fmt.Errorf("durableKV: token is %T", token)
-	}
-	v, err := snap.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	img := v.(*kvImage)
-	keys := make([]string, 0, len(img.M))
-	for k := range img.M {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
-	for _, k := range keys {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(k)))
-		buf = append(buf, k...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(img.M[k])))
-	}
-	return buf, nil
-}
-
-func (s *durableKV) DecodeToken(data []byte) (any, error) {
-	if len(data) < 4 {
-		return nil, errors.New("durableKV: truncated")
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	data = data[4:]
-	if n > len(data)/10 { // each entry is ≥ 2+0+8 bytes
-		return nil, errors.New("durableKV: entry count exceeds payload")
-	}
-	img := &kvImage{M: make(map[string]int, n)}
-	for i := 0; i < n; i++ {
-		if len(data) < 2 {
-			return nil, errors.New("durableKV: truncated key")
-		}
-		kl := int(binary.LittleEndian.Uint16(data))
-		data = data[2:]
-		if len(data) < kl+8 {
-			return nil, errors.New("durableKV: truncated entry")
-		}
-		k := string(data[:kl])
-		img.M[k] = int(int64(binary.LittleEndian.Uint64(data[kl:])))
-		data = data[kl+8:]
-	}
-	return checkpoint.NewEngine(checkpoint.RcAware).Checkpoint(img)
+	return s.Codec.EncodeToken(token)
 }
 
 // memPersister is an in-memory Persister with fault injection.
@@ -327,6 +279,37 @@ func TestDurableBadPayloadFailsSpawn(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "decode durable epoch") {
 		t.Fatalf("Spawn = %v, want decode error", err)
+	}
+}
+
+// TestDurableShapeMismatchFailsSpawn: a durable epoch written for a
+// different state shape (a build whose kvImage held other fields) is a
+// Spawn error carrying the codec's *checkpoint.ShapeError, not a
+// misdecoded restore.
+func TestDurableShapeMismatchFailsSpawn(t *testing.T) {
+	type kvImageV0 struct{ M map[string]string }
+	snap, err := checkpoint.NewEngine(checkpoint.RcAware).Checkpoint(&kvImageV0{M: map[string]string{"k": "v"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := checkpoint.Codec[*kvImageV0]{}.EncodeToken(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := newMemPersister()
+	if err := per.PersistEpoch("kv", 5, payload); err != nil {
+		t.Fatal(err)
+	}
+	sup := NewSupervisor(durablePolicy(2*time.Millisecond, per))
+	defer sup.Close()
+	_, err = Spawn(sup, Config[int]{
+		Name:    "kv",
+		State:   newDurableKV(),
+		Handler: func(c *Ctx, msg linear.Owned[int]) error { _, e := msg.Into(); return e },
+	})
+	var se *checkpoint.ShapeError
+	if !errors.As(err, &se) {
+		t.Fatalf("Spawn = %v, want a *checkpoint.ShapeError", err)
 	}
 }
 

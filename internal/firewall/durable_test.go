@@ -1,6 +1,7 @@
 package firewall
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -77,6 +78,43 @@ func TestFirewallTokenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFirewallTokenLongComment: a comment longer than 65,535 bytes
+// survives the byte round trip intact.
+func TestFirewallTokenLongComment(t *testing.T) {
+	db := NewDB(Deny)
+	long := Rule{ID: 7, Action: Allow, Proto: 6, DstPort: 443, Comment: strings.Repeat("c", 70000)}
+	if _, err := db.AddRule(0x0a000000, 8, long); err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewStateful(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := src.Checkpoint(checkpoint.NewEngine(checkpoint.RcAware))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := src.EncodeToken(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := NewStateful(NewDB(Allow))
+	if err != nil {
+		t.Fatal(err)
+	}
+	token, err := dst.DecodeToken(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Restore(token); err != nil {
+		t.Fatal(err)
+	}
+	rules, ok := dst.DB().Rules.Exact(0x0a000000, 8)
+	if !ok || len(rules) != 1 || rules[0].Get() != long {
+		t.Fatalf("restored rules %d (found %v), want the 70,000-byte comment rule intact", len(rules), ok)
+	}
+}
+
 func TestFirewallDecodeRejectsGarbage(t *testing.T) {
 	s, err := NewStateful(NewDB(Allow))
 	if err != nil {
@@ -85,9 +123,6 @@ func TestFirewallDecodeRejectsGarbage(t *testing.T) {
 	if _, err := s.DecodeToken(nil); err == nil {
 		t.Fatal("nil accepted")
 	}
-	if _, err := s.DecodeToken([]byte{0xee, 0, 0, 0, 0, 0}); err == nil {
-		t.Fatal("bad version accepted")
-	}
 	snap, err := s.Checkpoint(checkpoint.NewEngine(checkpoint.RcAware))
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +130,9 @@ func TestFirewallDecodeRejectsGarbage(t *testing.T) {
 	payload, err := s.EncodeToken(snap)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := s.DecodeToken(append([]byte{0xee}, payload[1:]...)); err == nil {
+		t.Fatal("bad version accepted")
 	}
 	for _, cut := range []int{len(payload) - 1, 3, 7} {
 		if cut >= len(payload) {

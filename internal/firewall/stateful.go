@@ -15,6 +15,8 @@ import (
 // snapshot backs Reset, since a firewall's cold start is its configured
 // rules, not an empty trie.
 type Stateful struct {
+	checkpoint.Codec[*DB] // durable tokens (domain.TokenCodec)
+
 	db   atomic.Pointer[DB]
 	boot *checkpoint.Snapshot
 }

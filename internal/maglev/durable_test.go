@@ -1,6 +1,7 @@
 package maglev
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -68,6 +69,43 @@ func TestBalancerTokenRoundTrip(t *testing.T) {
 	dst.mu.Unlock()
 }
 
+// TestBalancerTokenLongName: a backend name longer than 65,535 bytes
+// survives the byte round trip intact.
+func TestBalancerTokenLongName(t *testing.T) {
+	long := Backend{Name: strings.Repeat("n", 70000), IP: 0x0a630001}
+	src, err := NewBalancer([]Backend{long}, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tu := packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 17}
+	src.Pick(tu)
+	snap, err := src.Checkpoint(checkpoint.NewEngine(checkpoint.RcAware))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := src.EncodeToken(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := NewBalancer([]Backend{{Name: "other", IP: 9}}, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	token, err := dst.DecodeToken(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Restore(token); err != nil {
+		t.Fatal(err)
+	}
+	dst.mu.Lock()
+	got, ok := dst.conns[tu.Hash()]
+	dst.mu.Unlock()
+	if !ok || got != long {
+		t.Fatalf("restored conn (found %v) lost the 70,000-byte backend name (len %d)", ok, len(got.Name))
+	}
+}
+
 func TestBalancerDecodeRejectsGarbage(t *testing.T) {
 	b, err := NewBalancer([]Backend{{Name: "x", IP: 1}}, 13)
 	if err != nil {
@@ -76,16 +114,18 @@ func TestBalancerDecodeRejectsGarbage(t *testing.T) {
 	if _, err := b.DecodeToken(nil); err == nil {
 		t.Fatal("nil accepted")
 	}
-	if _, err := b.DecodeToken(make([]byte, 21)); err == nil {
-		t.Fatal("bad version accepted")
-	}
 	// Truncated conn list.
-	good, _ := b.Checkpoint(checkpoint.NewEngine(checkpoint.RcAware))
 	b.Pick(packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 17})
-	snap, _ := b.Checkpoint(checkpoint.NewEngine(checkpoint.RcAware))
+	snap, err := b.Checkpoint(checkpoint.NewEngine(checkpoint.RcAware))
+	if err != nil {
+		t.Fatal(err)
+	}
 	payload, err := b.EncodeToken(snap)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := b.DecodeToken(append([]byte{0}, payload[1:]...)); err == nil {
+		t.Fatal("bad version accepted")
 	}
 	if _, err := b.DecodeToken(payload[:len(payload)-2]); err == nil {
 		t.Fatal("truncated accepted")
@@ -93,5 +133,4 @@ func TestBalancerDecodeRejectsGarbage(t *testing.T) {
 	if _, err := b.EncodeToken(42); err == nil {
 		t.Fatal("bad encode token accepted")
 	}
-	_ = good
 }

@@ -158,6 +158,8 @@ func (t *Table) Distribution() map[string]int {
 // table giving established flows affinity to their original backend even
 // after the backend set changes.
 type Balancer struct {
+	checkpoint.Codec[*BalancerState] // durable tokens (domain.TokenCodec)
+
 	mu    sync.RWMutex
 	table *Table
 	conns map[uint64]Backend

@@ -429,8 +429,8 @@ type RunStats struct {
 }
 
 // Merge adds o's counters into s. This is the shared aggregation helper
-// behind every multi-worker stats view (ShardedRunner.Snapshot and Run,
-// Runner.RunParallel), the RunStats counterpart of
+// behind every multi-worker stats view (ShardedRunner.Snapshot and
+// Run), the RunStats counterpart of
 // domain.MergeSnapshots: each input is a point-in-time copy of monotonic
 // per-worker counters, so the merged total is safe to take during a live
 // run but not atomic across workers or fields.
@@ -456,41 +456,6 @@ type Runner struct {
 	// Tracer, when non-nil, is attached to the pipeline at Run: sampled
 	// spans armed by the port are stamped at every recognized stage.
 	Tracer *trace.Tracer
-}
-
-// RunParallel drives the pipeline from workers goroutines, each with its
-// own port (traffic source) and its own sfi.Context — the explicit
-// per-worker stand-in for the paper's thread-local current-domain store.
-// Domains are shared across workers; their counters are atomic. Each
-// worker processes n batches; aggregated stats and the first error are
-// returned.
-func (r *Runner) RunParallel(workers, n int, mkPort func(worker int) BurstPort) (RunStats, error) {
-	if workers <= 0 {
-		return RunStats{}, errors.New("netbricks: workers must be positive")
-	}
-	type result struct {
-		stats RunStats
-		err   error
-	}
-	results := make(chan result, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			worker := *r // copy the config; swap in the worker's port
-			worker.Port = mkPort(w)
-			stats, err := worker.Run(sfi.NewContext(), n)
-			results <- result{stats: stats, err: err}
-		}(w)
-	}
-	var agg RunStats
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		res := <-results
-		agg.Merge(res.stats)
-		if res.err != nil && firstErr == nil {
-			firstErr = res.err
-		}
-	}
-	return agg, firstErr
 }
 
 // Run processes n batches and reports stats. Packets dropped by filters

@@ -194,63 +194,6 @@ func TestIsolatedPipelineFaultWithoutRecoveryStops(t *testing.T) {
 	}
 }
 
-func TestRunParallelAggregates(t *testing.T) {
-	mgr := sfi.NewManager()
-	ip, err := NewIsolatedPipeline(mgr, []Operator{Parse{}, NullFilter{}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Runner{BatchSize: 8, Isolated: ip}
-	stats, err := r.RunParallel(4, 25, func(int) BurstPort {
-		return dpdk.NewPort(dpdk.Config{PoolSize: 64})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Batches != 100 || stats.Packets != 800 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	// Both shared stage domains saw all workers' calls.
-	for _, st := range ip.Stages() {
-		calls, _, _, _, _ := st.Domain.Stats.Snapshot()
-		if calls != 100 {
-			t.Fatalf("stage %s calls = %d", st.Domain.Name(), calls)
-		}
-	}
-}
-
-func TestRunParallelFaultsContainedPerWorker(t *testing.T) {
-	mgr := sfi.NewManager()
-	// One injector shared by all workers panics once; with AutoRecover
-	// every worker continues.
-	ip, err := NewIsolatedPipeline(mgr,
-		[]Operator{&FaultInjector{PanicOn: 10}},
-		[]func() Operator{func() Operator { return &FaultInjector{} }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Runner{BatchSize: 4, Isolated: ip, AutoRecover: true}
-	stats, err := r.RunParallel(4, 20, func(int) BurstPort {
-		return dpdk.NewPort(dpdk.Config{PoolSize: 32})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Faults < 1 {
-		t.Fatalf("no faults recorded: %+v", stats)
-	}
-	if stats.Batches+stats.Faults != 80 {
-		t.Fatalf("batches %d + faults %d != 80", stats.Batches, stats.Faults)
-	}
-}
-
-func TestRunParallelValidation(t *testing.T) {
-	r := &Runner{BatchSize: 4, Direct: NewPipeline()}
-	if _, err := r.RunParallel(0, 1, func(int) BurstPort { return newPort(t, 4) }); err == nil {
-		t.Fatal("zero workers accepted")
-	}
-}
-
 func TestRunnerValidation(t *testing.T) {
 	port := newPort(t, 8)
 	r := &Runner{Port: port, BatchSize: 4}

@@ -115,13 +115,22 @@ func TestTokenRoundTripEmpty(t *testing.T) {
 
 func TestDecodeTokenRejectsGarbage(t *testing.T) {
 	tbl := NewTable()
+	tbl.Track(flowTuple(1), 0xc0a80001, 100)
+	snap, err := tbl.Checkpoint(checkpoint.NewEngine(checkpoint.RcAware))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := tbl.EncodeToken(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := tbl.DecodeToken(nil); err == nil {
 		t.Fatal("nil token accepted")
 	}
-	if _, err := tbl.DecodeToken([]byte{99, 0, 0, 0, 0}); err == nil {
+	if _, err := tbl.DecodeToken(append([]byte{99}, payload[1:]...)); err == nil {
 		t.Fatal("bad version accepted")
 	}
-	if _, err := tbl.DecodeToken([]byte{sessionTokenVersion, 5, 0, 0, 0, 1, 2, 3}); err == nil {
+	if _, err := tbl.DecodeToken(payload[:len(payload)-1]); err == nil {
 		t.Fatal("truncated token accepted")
 	}
 	if _, err := tbl.EncodeToken("not a snapshot"); err == nil {

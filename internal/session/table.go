@@ -85,8 +85,11 @@ func (img *tableImage) CheckpointCopy(clone func(v any) (any, error)) (any, erro
 // handing each distinct backend one shared Rc box. All methods take the
 // table's lock, including Checkpoint/Restore/Reset — the domain
 // runtime's Stateful contract requires the state to serialize against
-// abandoned generations itself.
+// abandoned generations itself. The embedded codec makes its checkpoint
+// tokens durable (domain.TokenCodec), derived from tableImage's shape.
 type Table struct {
+	checkpoint.Codec[*tableImage]
+
 	mu     sync.Mutex
 	flows  map[uint64]*Flow
 	intern map[packet.IPv4]checkpoint.Rc[Backend]
